@@ -56,12 +56,11 @@ type Block struct {
 // Seal computes the Merkle root over the transaction IDs and the block hash
 // over the header fields. Chains call it once the tx set is final.
 func (b *Block) Seal() {
-	ids := make([][]byte, len(b.Txs))
+	level := make([]Hash, len(b.Txs))
 	for i, tx := range b.Txs {
-		id := tx.ID
-		ids[i] = id[:]
+		level[i] = sha256.Sum256(tx.ID[:])
 	}
-	b.TxRoot = MerkleRoot(ids)
+	b.TxRoot = reduceMerkle(level)
 
 	h := sha256.New()
 	var u [8]byte
@@ -74,7 +73,7 @@ func (b *Block) Seal() {
 	h.Write(b.PrevHash[:])
 	h.Write(b.TxRoot[:])
 	h.Write([]byte(b.Proposer))
-	copy(b.BlockHash[:], h.Sum(nil))
+	h.Sum(b.BlockHash[:0])
 }
 
 // CommittedIDs returns the IDs of transactions whose receipt says committed.
@@ -92,28 +91,31 @@ func (b *Block) CommittedIDs() []TxID {
 // node at any level is paired with itself; zero leaves hash to the empty
 // root.
 func MerkleRoot(leaves [][]byte) Hash {
-	if len(leaves) == 0 {
-		return sha256.Sum256(nil)
-	}
 	level := make([]Hash, len(leaves))
 	for i, leaf := range leaves {
 		level[i] = sha256.Sum256(leaf)
 	}
+	return reduceMerkle(level)
+}
+
+// reduceMerkle folds hashed leaves up to the root in place: the parent of
+// nodes i and i+1 lands in slot i/2, which the fold has already read.
+func reduceMerkle(level []Hash) Hash {
+	if len(level) == 0 {
+		return sha256.Sum256(nil)
+	}
+	var pair [64]byte
 	for len(level) > 1 {
-		next := make([]Hash, 0, (len(level)+1)/2)
 		for i := 0; i < len(level); i += 2 {
 			j := i + 1
 			if j == len(level) {
 				j = i
 			}
-			h := sha256.New()
-			h.Write(level[i][:])
-			h.Write(level[j][:])
-			var out Hash
-			copy(out[:], h.Sum(nil))
-			next = append(next, out)
+			copy(pair[:32], level[i][:])
+			copy(pair[32:], level[j][:])
+			level[i/2] = sha256.Sum256(pair[:])
 		}
-		level = next
+		level = level[:(len(level)+1)/2]
 	}
 	return level[0]
 }

@@ -229,6 +229,20 @@ func NewExecutor(state *State) *Executor {
 	return &Executor{state: state, pending: make(map[string][]byte)}
 }
 
+// Reset points the executor at state and forgets the previous
+// transaction: the RW-set slices are truncated and the maps cleared, so a
+// block executes every transaction on one executor. RW sets returned
+// earlier are invalidated; callers that retain one until validation (Fabric
+// endorsement) must use a fresh executor per transaction instead. Written
+// values are never reused, so those already applied to a State stay intact.
+func (e *Executor) Reset(state *State) {
+	e.state = state
+	e.rwset.Reads = e.rwset.Reads[:0]
+	e.rwset.Writes = e.rwset.Writes[:0]
+	clear(e.pending)
+	clear(e.writeIdx)
+}
+
 // Get reads key, preferring this transaction's own uncommitted writes
 // (read-your-writes), and records the read in the RW set otherwise.
 func (e *Executor) Get(key string) ([]byte, bool) {

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -156,5 +157,41 @@ func BenchmarkStageWriteWide(b *testing.B) {
 			}
 			b.ReportMetric(float64(width), "keys/op")
 		})
+	}
+}
+
+// After Reset an executor carries nothing of the previous transaction: no
+// pending write answers a read, and neither the read set nor the write
+// index leaks into the next RW set.
+func TestExecutorResetForgetsPreviousTransaction(t *testing.T) {
+	s := NewState()
+	s.Set("a", []byte("1"), 1)
+	ex := NewExecutor(s)
+	ex.Get("a")
+	ex.Put("a", []byte("2"))
+	ex.Put("b", []byte("3"))
+	ex.Del("c")
+
+	next := NewState()
+	ex.Reset(next)
+	if rw := ex.RWSet(); len(rw.Reads) != 0 || len(rw.Writes) != 0 {
+		t.Fatalf("RW set survived Reset: %+v", rw)
+	}
+	if v, ok := ex.Get("a"); ok {
+		t.Fatalf("pending write of the previous transaction answered a read: %q", v)
+	}
+	if _, ok := ex.Get("c"); ok {
+		t.Fatal("pending delete of the previous transaction leaked")
+	}
+	if rw := ex.RWSet(); len(rw.Reads) != 2 || rw.Reads[0].Exists {
+		t.Fatalf("reads after Reset should hit the new state: %+v", rw.Reads)
+	}
+	// A stale write index would update slot 1 of a one-entry write set.
+	ex.Put("b", []byte("4"))
+	ex.Put("d", []byte("5"))
+	ex.Put("b", []byte("6"))
+	want := []WriteEntry{{Key: "b", Value: []byte("6")}, {Key: "d", Value: []byte("5")}}
+	if got := ex.RWSet().Writes; !reflect.DeepEqual(got, want) {
+		t.Fatalf("writes after Reset = %+v, want %+v", got, want)
 	}
 }

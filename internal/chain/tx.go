@@ -92,36 +92,50 @@ type Transaction struct {
 // Encode renders the signed payload deterministically. The ID, signature and
 // submission timestamp are excluded.
 func (t *Transaction) Encode() []byte {
-	var buf []byte
-	appendStr := func(s string) {
-		var n [4]byte
-		binary.BigEndian.PutUint32(n[:], uint32(len(s)))
-		buf = append(buf, n[:]...)
-		buf = append(buf, s...)
-	}
-	appendStr(t.ClientID)
-	appendStr(t.ServerID)
-	appendStr(t.Chain)
-	appendStr(t.Contract)
-	appendStr(t.Op)
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(t.Args)))
-	buf = append(buf, n[:]...)
-	for _, a := range t.Args {
-		appendStr(a)
-	}
-	appendStr(t.From)
-	var u [8]byte
-	binary.BigEndian.PutUint64(u[:], t.Nonce)
-	buf = append(buf, u[:]...)
-	binary.BigEndian.PutUint64(u[:], t.Gas)
-	buf = append(buf, u[:]...)
-	return buf
+	return t.AppendEncode(make([]byte, 0, t.encodedLen()))
 }
+
+// AppendEncode appends the Encode payload to dst and returns the extended
+// slice, so callers that own a buffer encode without allocating.
+func (t *Transaction) AppendEncode(dst []byte) []byte {
+	dst = appendStr(dst, t.ClientID)
+	dst = appendStr(dst, t.ServerID)
+	dst = appendStr(dst, t.Chain)
+	dst = appendStr(dst, t.Contract)
+	dst = appendStr(dst, t.Op)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(t.Args)))
+	for _, a := range t.Args {
+		dst = appendStr(dst, a)
+	}
+	dst = appendStr(dst, t.From)
+	dst = binary.BigEndian.AppendUint64(dst, t.Nonce)
+	return binary.BigEndian.AppendUint64(dst, t.Gas)
+}
+
+// encodedLen is len(t.Encode()): a 4-byte length prefix per string, the
+// 4-byte argument count, and the two 8-byte integers.
+func (t *Transaction) encodedLen() int {
+	n := 6*4 + 4 + 2*8 + len(t.ClientID) + len(t.ServerID) + len(t.Chain) +
+		len(t.Contract) + len(t.Op) + len(t.From)
+	for _, a := range t.Args {
+		n += 4 + len(a)
+	}
+	return n
+}
+
+func appendStr(dst []byte, s string) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
+	return append(dst, s...)
+}
+
+// idBufSize is the stack buffer ComputeID encodes into. A SmallBank
+// transaction needs about 120 bytes; larger payloads spill to the heap.
+const idBufSize = 256
 
 // ComputeID hashes the signed payload and stores the result in ID.
 func (t *Transaction) ComputeID() TxID {
-	t.ID = sha256.Sum256(t.Encode())
+	var buf [idBufSize]byte
+	t.ID = sha256.Sum256(t.AppendEncode(buf[:0]))
 	return t.ID
 }
 

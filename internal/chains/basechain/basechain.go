@@ -281,7 +281,8 @@ func (b *Base) Stopped() bool {
 // ExecuteOrdered executes txs sequentially against state (order-execute
 // model), producing one receipt per transaction. Failed invocations abort
 // the transaction but not the block. version is the commit version assigned
-// to the block's writes.
+// to the block's writes. The block shares one executor, reset between
+// transactions, and its receipts live in one slab.
 //
 // Replay protection happens here rather than at admission: a transaction ID
 // that already has a committed receipt — in an earlier block or earlier in
@@ -291,39 +292,38 @@ func (b *Base) Stopped() bool {
 // or not duplicates are present.
 func (b *Base) ExecuteOrdered(state *chain.State, txs []*chain.Transaction, version uint64) []*chain.Receipt {
 	receipts := make([]*chain.Receipt, len(txs))
+	slab := make([]chain.Receipt, len(txs))
+	ex := chain.NewExecutor(state)
 	var inBatch map[chain.TxID]struct{}
 	for i, tx := range txs {
+		r := &slab[i]
+		receipts[i] = r
+		r.TxID = tx.ID
 		if _, dup := inBatch[tx.ID]; dup || b.AlreadyCommitted(tx.ID) {
-			receipts[i] = &chain.Receipt{TxID: tx.ID, Status: chain.StatusAborted, Err: chain.ErrDuplicateTx.Error()}
+			r.Status, r.Err = chain.StatusAborted, chain.ErrDuplicateTx.Error()
 			continue
 		}
-		r := b.executeOne(state, tx, version)
+		b.executeOne(ex, state, tx, version, r)
 		if r.Status == chain.StatusCommitted {
 			if inBatch == nil {
 				inBatch = make(map[chain.TxID]struct{})
 			}
 			inBatch[tx.ID] = struct{}{}
 		}
-		receipts[i] = r
 	}
 	return receipts
 }
 
-func (b *Base) executeOne(state *chain.State, tx *chain.Transaction, version uint64) *chain.Receipt {
-	r := &chain.Receipt{TxID: tx.ID}
+func (b *Base) executeOne(ex *chain.Executor, state *chain.State, tx *chain.Transaction, version uint64, r *chain.Receipt) {
 	c, err := b.Contract(tx.Contract)
-	if err != nil {
-		r.Status = chain.StatusAborted
-		r.Err = err.Error()
-		return r
+	if err == nil {
+		ex.Reset(state)
+		err = c.Invoke(ex, tx.Op, tx.Args)
 	}
-	ex := chain.NewExecutor(state)
-	if err := c.Invoke(ex, tx.Op, tx.Args); err != nil {
-		r.Status = chain.StatusAborted
-		r.Err = err.Error()
-		return r
+	if err != nil {
+		r.Status, r.Err = chain.StatusAborted, err.Error()
+		return
 	}
 	ex.RWSet().Apply(state, version)
 	r.Status = chain.StatusCommitted
-	return r
 }

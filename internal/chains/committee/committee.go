@@ -186,6 +186,10 @@ func (c *Chain) Stranded() int { return c.stranded }
 // ViewChanges reports how many round timeouts rotated the proposer.
 func (c *Chain) ViewChanges() int { return c.viewChanges }
 
+// errMempoolFull is the preallocated admission refusal; errors.Is matches
+// chain.ErrOverloaded.
+var errMempoolFull = fmt.Errorf("committee: mempool full: %w", chain.ErrOverloaded)
+
 // Submit implements chain.Blockchain: the transaction joins the shared
 // mempool for the next proposal.
 func (c *Chain) Submit(tx *chain.Transaction) (chain.TxID, error) {
@@ -196,7 +200,7 @@ func (c *Chain) Submit(tx *chain.Transaction) (chain.TxID, error) {
 		return chain.TxID{}, fmt.Errorf("committee: %w", chain.ErrStopped)
 	}
 	if len(c.queue)+c.inflight >= c.cfg.PendingCap {
-		return chain.TxID{}, fmt.Errorf("committee: mempool full (%d): %w", len(c.queue)+c.inflight, chain.ErrOverloaded)
+		return chain.TxID{}, errMempoolFull
 	}
 	if tx.ID == (chain.TxID{}) {
 		tx.ComputeID()

@@ -103,6 +103,12 @@ func New(sched eventsim.Sched, cfg Config) *Chain {
 	return c
 }
 
+// Admission refusals are preallocated; errors.Is matches the chain sentinels.
+var (
+	errMinersDown  = fmt.Errorf("ethereum: all miners down: %w", chain.ErrUnavailable)
+	errMempoolFull = fmt.Errorf("ethereum: mempool full: %w", chain.ErrOverloaded)
+)
+
 // Submit implements chain.Blockchain. Transactions enter the mempool and
 // wait for a mined block.
 func (c *Chain) Submit(tx *chain.Transaction) (chain.TxID, error) {
@@ -113,10 +119,10 @@ func (c *Chain) Submit(tx *chain.Transaction) (chain.TxID, error) {
 		return chain.TxID{}, fmt.Errorf("ethereum: %w", chain.ErrStopped)
 	}
 	if c.DownCount() >= c.cfg.Nodes {
-		return chain.TxID{}, fmt.Errorf("ethereum: all miners down: %w", chain.ErrUnavailable)
+		return chain.TxID{}, errMinersDown
 	}
 	if len(c.mempool) >= c.cfg.MempoolCap {
-		return chain.TxID{}, fmt.Errorf("ethereum: mempool full (%d): %w", len(c.mempool), chain.ErrOverloaded)
+		return chain.TxID{}, errMempoolFull
 	}
 	if tx.ID == (chain.TxID{}) {
 		tx.ComputeID()

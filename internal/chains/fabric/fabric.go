@@ -75,8 +75,10 @@ type Chain struct {
 	net   *netsim.Network
 	state *chain.State
 
-	peers   []*basechain.Compute
-	orderer *basechain.Compute
+	peers []*basechain.Compute
+	// peerNames caches peerName(i): admission probes peers by name.
+	peerNames []string
+	orderer   *basechain.Compute
 	// validator models the committing peer's single-threaded
 	// validate-and-commit path — Fabric's throughput ceiling.
 	validator *basechain.Compute
@@ -148,8 +150,10 @@ func New(sched eventsim.Sched, cfg Config) *Chain {
 	c.net = netsim.New(sched, cfg.Net)
 	c.RegisterNodes("orderer")
 	for i := 0; i < cfg.Peers; i++ {
-		c.peers = append(c.peers, basechain.NewComputeKey(sched, cfg.CoresPerNode, eventsim.Key(peerName(i))))
-		c.RegisterNodes(peerName(i))
+		name := peerName(i)
+		c.peers = append(c.peers, basechain.NewComputeKey(sched, cfg.CoresPerNode, eventsim.Key(name)))
+		c.peerNames = append(c.peerNames, name)
+		c.RegisterNodes(name)
 	}
 	// An orderer restart cuts whatever the batch timer was sitting on so
 	// recovery does not wait for new traffic to trip the cut thresholds.
@@ -184,6 +188,12 @@ func (c *Chain) strand(n int) {
 	c.stranded += n
 }
 
+// Admission refusals are preallocated; errors.Is matches the chain sentinels.
+var (
+	errInFlightFull = fmt.Errorf("fabric: in-flight cap reached: %w", chain.ErrOverloaded)
+	errNoPeer       = fmt.Errorf("fabric: no reachable endorsing peer: %w", chain.ErrUnavailable)
+)
+
 // Submit implements chain.Blockchain: the transaction is endorsed by the
 // next peer round-robin, then forwarded to the orderer.
 func (c *Chain) Submit(tx *chain.Transaction) (chain.TxID, error) {
@@ -194,7 +204,7 @@ func (c *Chain) Submit(tx *chain.Transaction) (chain.TxID, error) {
 		return chain.TxID{}, fmt.Errorf("fabric: %w", chain.ErrStopped)
 	}
 	if c.pending >= c.cfg.PendingCap {
-		return chain.TxID{}, fmt.Errorf("fabric: %d transactions in flight: %w", c.pending, chain.ErrOverloaded)
+		return chain.TxID{}, errInFlightFull
 	}
 	// Round-robin over endorsing peers, skipping ones that are crashed or
 	// unreachable from the client — the SDK's connection attempt fails fast,
@@ -202,14 +212,14 @@ func (c *Chain) Submit(tx *chain.Transaction) (chain.TxID, error) {
 	peerIdx := -1
 	for probe := 0; probe < len(c.peers); probe++ {
 		idx := (c.nextPeer + probe) % len(c.peers)
-		if c.NodeDown(peerName(idx)) || c.net.Partitioned("client", peerName(idx)) {
+		if c.NodeDown(c.peerNames[idx]) || c.net.Partitioned("client", c.peerNames[idx]) {
 			continue
 		}
 		peerIdx = idx
 		break
 	}
 	if peerIdx < 0 {
-		return chain.TxID{}, fmt.Errorf("fabric: no reachable endorsing peer: %w", chain.ErrUnavailable)
+		return chain.TxID{}, errNoPeer
 	}
 	if tx.ID == (chain.TxID{}) {
 		tx.ComputeID()
@@ -217,7 +227,7 @@ func (c *Chain) Submit(tx *chain.Transaction) (chain.TxID, error) {
 	c.pending++
 	c.nextPeer = (peerIdx + 1) % len(c.peers)
 	peer := c.peers[peerIdx]
-	pname := peerName(peerIdx)
+	pname := c.peerNames[peerIdx]
 
 	// Client -> peer proposal, endorsement execution, peer -> orderer. A
 	// peer that crashes while the proposal is in flight loses it; the
@@ -246,7 +256,10 @@ func (c *Chain) Submit(tx *chain.Transaction) (chain.TxID, error) {
 }
 
 // endorse executes the transaction against current state, capturing its
-// read-write set without applying it.
+// read-write set without applying it. Unlike the order-execute chains, which
+// reset one executor per block, each endorsement gets a fresh executor: the
+// RW set it returns travels to the orderer and is read again at MVCC
+// validation, long after the next transaction has been endorsed.
 func (c *Chain) endorse(tx *chain.Transaction) *endorsed {
 	e := &endorsed{tx: tx}
 	ct, err := c.Contract(tx.Contract)
@@ -331,14 +344,20 @@ func (c *Chain) validateAndCommit(batch []*endorsed) {
 	cost := time.Duration(len(batch))*c.cfg.ValidateCostPerTx + c.cfg.CommitCostPerBlock
 	c.validator.Run(cost, func() {
 		c.version++
-		blk := &chain.Block{Proposer: "peer-0"}
+		blk := &chain.Block{
+			Proposer: "peer-0",
+			Txs:      make([]*chain.Transaction, len(batch)),
+			Receipts: make([]*chain.Receipt, len(batch)),
+		}
+		slab := make([]chain.Receipt, len(batch))
 		// Replay protection: MVCC catches most duplicate resubmissions (the
 		// second copy's read versions are stale after the first commits), but
 		// blind-write transactions validate against nothing, so the committed
 		// set is checked explicitly — within this block and across blocks.
 		var inBlock map[chain.TxID]struct{}
-		for _, e := range batch {
-			r := &chain.Receipt{TxID: e.tx.ID}
+		for i, e := range batch {
+			r := &slab[i]
+			r.TxID = e.tx.ID
 			_, dupInBlock := inBlock[e.tx.ID]
 			switch {
 			case e.err != nil:
@@ -360,8 +379,7 @@ func (c *Chain) validateAndCommit(batch []*endorsed) {
 					inBlock[e.tx.ID] = struct{}{}
 				}
 			}
-			blk.Txs = append(blk.Txs, e.tx)
-			blk.Receipts = append(blk.Receipts, r)
+			blk.Txs[i], blk.Receipts[i] = e.tx, r
 		}
 		c.pending -= len(batch)
 		c.AppendBlock(0, blk)

@@ -247,6 +247,10 @@ func (c *Chain) ShardOf(account string) int {
 // shards keep their ledgers but cut no epochs until they rejoin.
 func (c *Chain) ActiveShards() int { return c.active }
 
+// errShardFull is the preallocated admission refusal; errors.Is matches
+// chain.ErrOverloaded.
+var errShardFull = fmt.Errorf("meepo: shard queue full: %w", chain.ErrOverloaded)
+
 // Submit implements chain.Blockchain: the transaction is routed to the home
 // shard of its sender (From, falling back to the first argument).
 func (c *Chain) Submit(tx *chain.Transaction) (chain.TxID, error) {
@@ -263,7 +267,7 @@ func (c *Chain) Submit(tx *chain.Transaction) (chain.TxID, error) {
 	sh := c.ShardOf(owner)
 	ss := c.shards[sh]
 	if len(ss.queue)+ss.inflight >= c.cfg.PendingCapPerShard {
-		return chain.TxID{}, fmt.Errorf("meepo: shard %d queue full (%d): %w", sh, len(ss.queue)+ss.inflight, chain.ErrOverloaded)
+		return chain.TxID{}, errShardFull
 	}
 	if tx.ID == (chain.TxID{}) {
 		tx.ComputeID()
@@ -378,6 +382,17 @@ func (c *Chain) commitEpoch(sh int, batch []*chain.Transaction, inbox []crossWri
 	ss.version++
 	blk := &chain.Block{Proposer: member(sh, 0)}
 
+	// The epoch's receipts share one slab with room for every receipt it
+	// can issue, so appends never move the receipts the block points at.
+	n := len(inbox) + len(batch)
+	slab := make([]chain.Receipt, 0, n)
+	blk.Txs = make([]*chain.Transaction, 0, n)
+	blk.Receipts = make([]*chain.Receipt, 0, n)
+	issue := func(r chain.Receipt) {
+		slab = append(slab, r)
+		blk.Receipts = append(blk.Receipts, &slab[len(slab)-1])
+	}
+
 	// Apply relayed cross-shard credits first; their receipts complete the
 	// originating transactions. The inbox is idempotent per transaction ID:
 	// when both the original relay and a resubmission's retransmission
@@ -387,7 +402,7 @@ func (c *Chain) commitEpoch(sh int, batch []*chain.Transaction, inbox []crossWri
 	for _, cw := range inbox {
 		blk.Txs = append(blk.Txs, cw.tx)
 		if _, dup := applied[cw.tx.ID]; dup || c.AlreadyCommitted(cw.tx.ID) {
-			blk.Receipts = append(blk.Receipts, &chain.Receipt{TxID: cw.tx.ID, Status: chain.StatusAborted, Err: chain.ErrDuplicateTx.Error()})
+			issue(chain.Receipt{TxID: cw.tx.ID, Status: chain.StatusAborted, Err: chain.ErrDuplicateTx.Error()})
 			continue
 		}
 		if applied == nil {
@@ -396,13 +411,14 @@ func (c *Chain) commitEpoch(sh int, batch []*chain.Transaction, inbox []crossWri
 		applied[cw.tx.ID] = struct{}{}
 		applyCredit(ss.state, cw.toKey, cw.amount, ss.version)
 		c.crossOutstanding -= cw.amount
-		blk.Receipts = append(blk.Receipts, &chain.Receipt{TxID: cw.tx.ID, Status: chain.StatusCommitted})
+		issue(chain.Receipt{TxID: cw.tx.ID, Status: chain.StatusCommitted})
 	}
 
+	ex := chain.NewExecutor(ss.state) // reset per transaction by executeSharded
 	var committed map[chain.TxID]struct{}
 	for _, tx := range batch {
-		r := c.executeSharded(sh, tx, ss.version, committed)
-		if r == nil {
+		r, ok := c.executeSharded(ex, sh, tx, ss.version, committed)
+		if !ok {
 			continue // cross-shard: receipt is issued by the destination shard
 		}
 		if r.Status == chain.StatusCommitted {
@@ -412,7 +428,7 @@ func (c *Chain) commitEpoch(sh int, batch []*chain.Transaction, inbox []crossWri
 			committed[tx.ID] = struct{}{}
 		}
 		blk.Txs = append(blk.Txs, tx)
-		blk.Receipts = append(blk.Receipts, r)
+		issue(r)
 	}
 	if len(blk.Txs) == 0 && len(blk.Receipts) == 0 {
 		return
@@ -420,13 +436,14 @@ func (c *Chain) commitEpoch(sh int, batch []*chain.Transaction, inbox []crossWri
 	c.AppendBlock(sh, blk)
 }
 
-// executeSharded executes tx in shard sh. SmallBank transfers whose
-// destination lives on another shard are split: the debit applies here and
-// the credit is relayed through the cross-epoch; nil is returned because the
-// destination shard will issue the receipt. committedInEpoch carries the IDs
-// already committed earlier in this epoch's batch, so a duplicate
-// resubmission landing in the same epoch aborts instead of re-applying.
-func (c *Chain) executeSharded(sh int, tx *chain.Transaction, version uint64, committedInEpoch map[chain.TxID]struct{}) *chain.Receipt {
+// executeSharded executes tx in shard sh on ex, which it resets first.
+// SmallBank transfers whose destination lives on another shard are split:
+// the debit applies here and the credit is relayed through the cross-epoch;
+// ok is false because the destination shard will issue the receipt.
+// committedInEpoch carries the IDs already committed earlier in this epoch's
+// batch, so a duplicate resubmission landing in the same epoch aborts
+// instead of re-applying.
+func (c *Chain) executeSharded(ex *chain.Executor, sh int, tx *chain.Transaction, version uint64, committedInEpoch map[chain.TxID]struct{}) (r chain.Receipt, ok bool) {
 	ss := c.shards[sh]
 	if tx.Contract == smallbank.ContractName && len(tx.Args) >= 2 {
 		switch tx.Op {
@@ -439,45 +456,47 @@ func (c *Chain) executeSharded(sh int, tx *chain.Transaction, version uint64, co
 			// multi-account amalgamation across shards is not supported
 			// by the sharded execution model and aborts honestly.
 			if c.ShardOf(tx.Args[1]) != sh {
-				return &chain.Receipt{TxID: tx.ID, Status: chain.StatusAborted,
-					Err: "meepo: cross-shard amalgamate unsupported"}
+				return chain.Receipt{TxID: tx.ID, Status: chain.StatusAborted,
+					Err: "meepo: cross-shard amalgamate unsupported"}, true
 			}
 		}
 	}
 	if _, dup := committedInEpoch[tx.ID]; dup || c.AlreadyCommitted(tx.ID) {
-		return &chain.Receipt{TxID: tx.ID, Status: chain.StatusAborted, Err: chain.ErrDuplicateTx.Error()}
+		return chain.Receipt{TxID: tx.ID, Status: chain.StatusAborted, Err: chain.ErrDuplicateTx.Error()}, true
 	}
 	ct, err := c.Contract(tx.Contract)
 	if err != nil {
-		return &chain.Receipt{TxID: tx.ID, Status: chain.StatusAborted, Err: err.Error()}
+		return chain.Receipt{TxID: tx.ID, Status: chain.StatusAborted, Err: err.Error()}, true
 	}
-	ex := chain.NewExecutor(ss.state)
+	ex.Reset(ss.state)
 	if err := ct.Invoke(ex, tx.Op, tx.Args); err != nil {
-		return &chain.Receipt{TxID: tx.ID, Status: chain.StatusAborted, Err: err.Error()}
+		return chain.Receipt{TxID: tx.ID, Status: chain.StatusAborted, Err: err.Error()}, true
 	}
 	ex.RWSet().Apply(ss.state, version)
-	return &chain.Receipt{TxID: tx.ID, Status: chain.StatusCommitted}
+	return chain.Receipt{TxID: tx.ID, Status: chain.StatusCommitted}, true
 }
 
 // crossShardTransfer debits the source account locally and relays the credit
-// to the destination shard's inbox for its next epoch.
-func (c *Chain) crossShardTransfer(sh int, tx *chain.Transaction, from, to string, version uint64) *chain.Receipt {
+// to the destination shard's inbox for its next epoch. It reports false once
+// the credit is relayed, since the destination shard issues the receipt; a
+// refused debit returns its aborted receipt.
+func (c *Chain) crossShardTransfer(sh int, tx *chain.Transaction, from, to string, version uint64) (chain.Receipt, bool) {
 	ss := c.shards[sh]
 	amount, err := strconv.ParseInt(tx.Args[2], 10, 64)
 	if err != nil || amount < 0 {
-		return &chain.Receipt{TxID: tx.ID, Status: chain.StatusAborted, Err: "meepo: bad transfer amount"}
+		return chain.Receipt{TxID: tx.ID, Status: chain.StatusAborted, Err: "meepo: bad transfer amount"}, true
 	}
 	if _, debited := c.crossDebited[tx.ID]; !debited {
 		key := "c:" + from
 		raw, _, ok := ss.state.Get(key)
 		if !ok {
-			return &chain.Receipt{TxID: tx.ID, Status: chain.StatusAborted, Err: "meepo: unknown source account " + from}
+			return chain.Receipt{TxID: tx.ID, Status: chain.StatusAborted, Err: "meepo: unknown source account " + from}, true
 		}
 		bal, err := strconv.ParseInt(string(raw), 10, 64)
 		if err != nil {
-			return &chain.Receipt{TxID: tx.ID, Status: chain.StatusAborted, Err: "meepo: corrupt balance for " + from}
+			return chain.Receipt{TxID: tx.ID, Status: chain.StatusAborted, Err: "meepo: corrupt balance for " + from}, true
 		}
-		ss.state.Set(key, []byte(strconv.FormatInt(bal-amount, 10)), version)
+		ss.state.Set(key, strconv.AppendInt(nil, bal-amount, 10), version)
 		c.crossDebited[tx.ID] = amount
 		c.crossOutstanding += amount
 	}
@@ -500,7 +519,7 @@ func (c *Chain) crossShardTransfer(sh int, tx *chain.Transaction, from, to strin
 		live := c.ShardOf(to)
 		c.shards[live].inbox = append(c.shards[live].inbox, cw)
 	})
-	return nil
+	return chain.Receipt{}, false
 }
 
 func applyCredit(state *chain.State, key string, amount int64, version uint64) {
@@ -510,7 +529,7 @@ func applyCredit(state *chain.State, key string, amount int64, version uint64) {
 			bal = v
 		}
 	}
-	state.Set(key, []byte(strconv.FormatInt(bal+amount, 10)), version)
+	state.Set(key, strconv.AppendInt(nil, bal+amount, 10), version)
 }
 
 // OutstandingCrossDebits reports the total value debited from source shards

@@ -133,6 +133,13 @@ func (c *Chain) Network() *netsim.Network { return c.net }
 // queue but never committed); the driver's retry path recovers them.
 func (c *Chain) Stranded() int { return c.stranded }
 
+// Admission refusals are preallocated: a loaded run refuses a large share of
+// its submissions, and errors.Is still matches the chain sentinels.
+var (
+	errProxyDown = fmt.Errorf("neuchain: client proxy down: %w", chain.ErrUnavailable)
+	errProxyFull = fmt.Errorf("neuchain: proxy queue full: %w", chain.ErrOverloaded)
+)
+
 // Submit implements chain.Blockchain: the client proxy queues the
 // transaction for the next epoch.
 func (c *Chain) Submit(tx *chain.Transaction) (chain.TxID, error) {
@@ -143,10 +150,10 @@ func (c *Chain) Submit(tx *chain.Transaction) (chain.TxID, error) {
 		return chain.TxID{}, fmt.Errorf("neuchain: %w", chain.ErrStopped)
 	}
 	if c.NodeDown("proxy") {
-		return chain.TxID{}, fmt.Errorf("neuchain: client proxy down: %w", chain.ErrUnavailable)
+		return chain.TxID{}, errProxyDown
 	}
 	if len(c.proxyQueue)+c.inflight >= c.cfg.PendingCap {
-		return chain.TxID{}, fmt.Errorf("neuchain: proxy queue full (%d): %w", len(c.proxyQueue)+c.inflight, chain.ErrOverloaded)
+		return chain.TxID{}, errProxyFull
 	}
 	if tx.ID == (chain.TxID{}) {
 		tx.ComputeID()

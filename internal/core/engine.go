@@ -43,10 +43,10 @@ type Engine struct {
 	lastHeights []uint64
 	pollTicker  *eventsim.Ticker
 
-	submitted      int
-	rejected       int
-	dropped        int // interactive responses lost to listener backlog
-	retried        int // resubmissions performed by the retry path
+	submitted int
+	rejected  int
+	dropped   int // interactive responses lost to listener backlog
+	retried   int // resubmissions performed by the retry path
 	// retryQueue is the deterministic FIFO of transactions the retry path is
 	// watching; it is scanned on poll ticks in dispatch order, so retry
 	// behaviour is independent of map iteration or wall-clock effects.
@@ -305,10 +305,13 @@ func (e *Engine) setupAccounts(ctx context.Context) error {
 // timing the real CPU cost of preparation (Fig 8's subject).
 func (e *Engine) prepare() ([]*chain.Transaction, error) {
 	total := e.cfg.Control.Total()
+	clients := make([]string, min(e.cfg.Clients, total))
+	for i := range clients {
+		clients[i] = fmt.Sprintf("client-%d", i)
+	}
 	txs := make([]*chain.Transaction, 0, total)
 	for i := 0; i < total; i++ {
-		client := fmt.Sprintf("client-%d", i%e.cfg.Clients)
-		txs = append(txs, e.gen.Next(client, "server-0"))
+		txs = append(txs, e.gen.Next(clients[i%e.cfg.Clients], "server-0"))
 	}
 	start := time.Now()
 	switch e.cfg.SignMode {

@@ -36,8 +36,8 @@ type Playbook struct {
 	// listens and which named worker processes generate traffic (optional).
 	Cluster *ClusterSpec `json:"cluster,omitempty"`
 	// Exactly one of the per-chain specs may be set; nil uses defaults.
-	Ethereum *EthereumSpec `json:"ethereum,omitempty"`
-	Fabric   *FabricSpec   `json:"fabric,omitempty"`
+	Ethereum  *EthereumSpec  `json:"ethereum,omitempty"`
+	Fabric    *FabricSpec    `json:"fabric,omitempty"`
 	Neuchain  *NeuchainSpec  `json:"neuchain,omitempty"`
 	Meepo     *MeepoSpec     `json:"meepo,omitempty"`
 	Committee *CommitteeSpec `json:"committee,omitempty"`

@@ -100,10 +100,10 @@ type Coordinator struct {
 	complete chan struct{}
 	once     sync.Once
 
-	srv      *rpc.Server
-	stopMon  chan struct{}
-	monOnce  sync.Once
-	monWg    sync.WaitGroup
+	srv     *rpc.Server
+	stopMon chan struct{}
+	monOnce sync.Once
+	monWg   sync.WaitGroup
 }
 
 // NewCoordinator builds the control plane for cfg.

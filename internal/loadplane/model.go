@@ -11,13 +11,13 @@ import (
 // series — and the CSV rendered from it — is bit-deterministic regardless of
 // how the arrivals were generated or merged.
 type Row struct {
-	Window   int64  `json:"window"`
-	Offered  int64  `json:"offered"`
-	Admitted int64  `json:"admitted"`
-	Dropped  int64  `json:"dropped"`
-	Served   int64  `json:"served"`
-	Queue    int64  `json:"queue"` // backlog at window end
-	Busy     int64  `json:"busy"`  // clients that fired this window
+	Window   int64 `json:"window"`
+	Offered  int64 `json:"offered"`
+	Admitted int64 `json:"admitted"`
+	Dropped  int64 `json:"dropped"`
+	Served   int64 `json:"served"`
+	Queue    int64 `json:"queue"` // backlog at window end
+	Busy     int64 `json:"busy"`  // clients that fired this window
 	// AvgLatencyNs is the mean sojourn estimate for arrivals admitted this
 	// window: base latency plus the time to drain the backlog ahead of the
 	// window's midpoint arrival.

@@ -87,7 +87,7 @@ func GenerateRange(ctx context.Context, spec Spec, rng Range, startWindow int64,
 	maxGapNs := int64(ringWindows-1) * winNs
 
 	n := rng.Len()
-	next := make([]int64, n)  // absolute ns of the client's next arrival
+	next := make([]int64, n)   // absolute ns of the client's next arrival
 	count := make([]uint32, n) // arrivals drawn so far (the hash-stream cursor)
 	ring := make([][]uint32, ringWindows)
 

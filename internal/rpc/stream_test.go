@@ -277,4 +277,3 @@ func TestServerBatchEnvelope(t *testing.T) {
 		t.Fatalf("malformed batch should be a parse error: %v %+v", err, single)
 	}
 }
-

@@ -67,7 +67,7 @@ func readBalance(ctx chain.TxContext, key string) (int64, error) {
 }
 
 func writeBalance(ctx chain.TxContext, key string, v int64) {
-	ctx.Put(key, []byte(strconv.FormatInt(v, 10)))
+	ctx.Put(key, strconv.AppendInt(nil, v, 10))
 }
 
 // Invoke implements chain.Contract.
@@ -94,11 +94,12 @@ func (Contract) Invoke(ctx chain.TxContext, op string, args []string) error {
 		if err != nil {
 			return err
 		}
-		bal, err := readBalance(ctx, checkingKey(account))
+		key := checkingKey(account)
+		bal, err := readBalance(ctx, key)
 		if err != nil {
 			return err
 		}
-		writeBalance(ctx, checkingKey(account), bal+amount)
+		writeBalance(ctx, key, bal+amount)
 		return nil
 
 	case OpWithdraw:
@@ -106,14 +107,15 @@ func (Contract) Invoke(ctx chain.TxContext, op string, args []string) error {
 		if err != nil {
 			return err
 		}
-		bal, err := readBalance(ctx, checkingKey(account))
+		key := checkingKey(account)
+		bal, err := readBalance(ctx, key)
 		if err != nil {
 			return err
 		}
 		// Overdraft is permitted, following SmallBank's WriteCheck
 		// semantics (and Blockbench's chaincode): balances may go
 		// negative, keeping total funds conserved.
-		writeBalance(ctx, checkingKey(account), bal-amount)
+		writeBalance(ctx, key, bal-amount)
 		return nil
 
 	case OpTransfer:
@@ -131,16 +133,17 @@ func (Contract) Invoke(ctx chain.TxContext, op string, args []string) error {
 		if from == to {
 			return fmt.Errorf("smallbank: transfer from %q to itself", from)
 		}
-		fromBal, err := readBalance(ctx, checkingKey(from))
+		fromKey, toKey := checkingKey(from), checkingKey(to)
+		fromBal, err := readBalance(ctx, fromKey)
 		if err != nil {
 			return err
 		}
-		toBal, err := readBalance(ctx, checkingKey(to))
+		toBal, err := readBalance(ctx, toKey)
 		if err != nil {
 			return err
 		}
-		writeBalance(ctx, checkingKey(from), fromBal-amount)
-		writeBalance(ctx, checkingKey(to), toBal+amount)
+		writeBalance(ctx, fromKey, fromBal-amount)
+		writeBalance(ctx, toKey, toBal+amount)
 		return nil
 
 	case OpAmalgamate:
@@ -151,21 +154,22 @@ func (Contract) Invoke(ctx chain.TxContext, op string, args []string) error {
 		if from == to {
 			return fmt.Errorf("smallbank: amalgamate %q with itself", from)
 		}
-		fromSav, err := readBalance(ctx, savingsKey(from))
+		fromSavKey, fromChkKey, toChkKey := savingsKey(from), checkingKey(from), checkingKey(to)
+		fromSav, err := readBalance(ctx, fromSavKey)
 		if err != nil {
 			return err
 		}
-		fromChk, err := readBalance(ctx, checkingKey(from))
+		fromChk, err := readBalance(ctx, fromChkKey)
 		if err != nil {
 			return err
 		}
-		toChk, err := readBalance(ctx, checkingKey(to))
+		toChk, err := readBalance(ctx, toChkKey)
 		if err != nil {
 			return err
 		}
-		writeBalance(ctx, savingsKey(from), 0)
-		writeBalance(ctx, checkingKey(from), 0)
-		writeBalance(ctx, checkingKey(to), toChk+fromSav+fromChk)
+		writeBalance(ctx, fromSavKey, 0)
+		writeBalance(ctx, fromChkKey, 0)
+		writeBalance(ctx, toChkKey, toChk+fromSav+fromChk)
 		return nil
 
 	case OpQuery:

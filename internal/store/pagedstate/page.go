@@ -38,12 +38,12 @@ type page struct {
 func (p page) next() uint32      { return binary.LittleEndian.Uint32(p.buf[0:4]) }
 func (p page) setNext(id uint32) { binary.LittleEndian.PutUint32(p.buf[0:4], id) }
 
-func (p page) nslots() int       { return int(binary.LittleEndian.Uint16(p.buf[4:6])) }
-func (p page) setNslots(n int)   { binary.LittleEndian.PutUint16(p.buf[4:6], uint16(n)) }
-func (p page) cellStart() int    { return int(binary.LittleEndian.Uint16(p.buf[6:8])) }
+func (p page) nslots() int        { return int(binary.LittleEndian.Uint16(p.buf[4:6])) }
+func (p page) setNslots(n int)    { binary.LittleEndian.PutUint16(p.buf[4:6], uint16(n)) }
+func (p page) cellStart() int     { return int(binary.LittleEndian.Uint16(p.buf[6:8])) }
 func (p page) setCellStart(o int) { binary.LittleEndian.PutUint16(p.buf[6:8], uint16(o)) }
-func (p page) garbage() int      { return int(binary.LittleEndian.Uint16(p.buf[8:10])) }
-func (p page) setGarbage(g int)  { binary.LittleEndian.PutUint16(p.buf[8:10], uint16(g)) }
+func (p page) garbage() int       { return int(binary.LittleEndian.Uint16(p.buf[8:10])) }
+func (p page) setGarbage(g int)   { binary.LittleEndian.PutUint16(p.buf[8:10], uint16(g)) }
 
 // init formats the buffer as an empty page.
 func (p page) init() {

@@ -178,11 +178,11 @@ func (g *Generator) Next(clientID, serverID string) *chain.Transaction {
 	case smallbank.OpTransfer:
 		a, b := g.pickTwoAccounts()
 		tx.Args = []string{smallbank.AccountName(a), smallbank.AccountName(b), strconv.FormatInt(amount, 10)}
-		tx.From = smallbank.AccountName(a)
+		tx.From = tx.Args[0]
 	case smallbank.OpAmalgamate:
 		a, b := g.pickTwoAccounts()
 		tx.Args = []string{smallbank.AccountName(a), smallbank.AccountName(b)}
-		tx.From = smallbank.AccountName(a)
+		tx.From = tx.Args[0]
 	}
 	return tx
 }
