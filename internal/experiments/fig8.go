@@ -42,12 +42,15 @@ func Fig8(opts Options) ([]Fig8Result, error) {
 		return nil, err
 	}
 
+	// fresh also collects the garbage of the previous strategy, so no
+	// strategy pays for another's heap.
 	fresh := func() []*chain.Transaction {
 		txs := gen.Batch(opts.SignCount, "client-0", "server-0")
 		for _, tx := range txs {
 			tx.Signature = nil
 			tx.PubKey = nil
 		}
+		runtime.GC()
 		return txs
 	}
 

@@ -3,6 +3,7 @@ package sign
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"hammer/internal/chain"
 )
@@ -30,23 +31,26 @@ func SignAsync(txs []*chain.Transaction, signer *Signer, workers int) error {
 		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
+		next     atomic.Int64
 	)
-	next := make(chan *chain.Transaction)
+	// Workers claim indices from a shared counter rather than receiving
+	// from a channel: a feeding goroutine would compete with the signers
+	// for CPUs and park/wake a worker on every transaction.
 	wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer wg.Done()
-			for tx := range next {
-				if err := signer.Sign(tx); err != nil {
+			for {
+				i := next.Add(1) - 1
+				if i >= int64(len(txs)) {
+					return
+				}
+				if err := signer.Sign(txs[i]); err != nil {
 					errOnce.Do(func() { firstErr = err })
 				}
 			}
 		}()
 	}
-	for _, tx := range txs {
-		next <- tx
-	}
-	close(next)
 	wg.Wait()
 	return firstErr
 }
@@ -69,6 +73,11 @@ type Pipeline struct {
 	firstErr error
 }
 
+// pipelineBuffer is the per-worker slack on the input and output channels.
+// Unbuffered hand-offs park and wake a goroutine on every transaction, and
+// the submitter and consumer then steal CPU from the signers.
+const pipelineBuffer = 64
+
 // NewPipeline starts a signing pipeline with the given number of workers
 // (GOMAXPROCS when ≤ 0). Callers must drain Out and call Close when done
 // submitting.
@@ -79,8 +88,8 @@ func NewPipeline(signer *Signer, workers int) *Pipeline {
 	p := &Pipeline{
 		signer:  signer,
 		workers: workers,
-		in:      make(chan *chain.Transaction),
-		out:     make(chan *chain.Transaction),
+		in:      make(chan *chain.Transaction, pipelineBuffer*workers),
+		out:     make(chan *chain.Transaction, pipelineBuffer*workers),
 	}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
