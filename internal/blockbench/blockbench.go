@@ -36,9 +36,19 @@ const (
 // Workloads lists the three micro-workloads in report order.
 var Workloads = []string{IOHeavy, Analytics, DoNothing}
 
-// Key is the state key of record i; the population is a dense array of
-// these, so scans address ranges by index.
-func Key(i int) string { return fmt.Sprintf("io:%08d", i) }
+// Key is the state key of record i, "io:%08d"; the population is a dense
+// array of these, so scans address ranges by index.
+func Key(i int) string {
+	if i < 0 {
+		return fmt.Sprintf("io:%08d", i)
+	}
+	var buf [32]byte
+	copy(buf[:], "io:00000000")
+	d := strconv.AppendInt(buf[11:11], int64(i), 10)
+	end := max(11, 3+len(d))
+	copy(buf[end-len(d):], d)
+	return string(buf[:end])
+}
 
 // Contract is the BLOCKBENCH chaincode. The zero value is ready to use.
 type Contract struct{}
@@ -152,6 +162,7 @@ type Generator struct {
 	rng   *randx.Rand
 	value string
 	nonce uint64
+	slab  chain.TxSlab
 }
 
 // NewGenerator validates the profile and builds a generator.
@@ -200,11 +211,12 @@ func (g *Generator) nextNonce() uint64 {
 // valueFor stamps the write nonce into the fixed pattern so every write is
 // distinguishable but identically sized.
 func (g *Generator) valueFor(nonce uint64) string {
-	stamp := strconv.FormatUint(nonce, 16)
+	var buf [16]byte
+	stamp := strconv.AppendUint(buf[:0], nonce, 16)
 	if len(stamp) >= len(g.value) {
-		return stamp[:len(g.value)]
+		return string(stamp[:len(g.value)])
 	}
-	return stamp + g.value[len(stamp):]
+	return string(stamp) + g.value[len(stamp):]
 }
 
 // SetupTxs populates the record array. DoNothing needs no state and returns
@@ -215,52 +227,53 @@ func (g *Generator) SetupTxs() []*chain.Transaction {
 	}
 	txs := make([]*chain.Transaction, g.p.Records)
 	for i := range txs {
-		txs[i] = &chain.Transaction{
+		key := Key(i)
+		txs[i] = g.slab.New(chain.Transaction{
 			Contract: ContractName,
 			Op:       OpWrite,
-			Args:     []string{Key(i), g.valueFor(uint64(i))},
-			From:     owner(i),
+			Args:     g.slab.Args(key, g.valueFor(uint64(i))),
+			From:     owner(key),
 			Nonce:    g.nextNonce(),
-		}
+		})
 	}
 	return txs
 }
 
-// owner attributes a transaction to the record's index — the routing
-// account sharded chains hash.
-func owner(i int) string { return fmt.Sprintf("%08d", i) }
+// owner attributes a transaction to the record's index (the digits of its
+// Key) — the routing account sharded chains hash.
+func owner(key string) string { return key[len("io:"):] }
 
 // Next draws one benchmark transaction attributed to a client/server.
 func (g *Generator) Next(clientID, serverID string) *chain.Transaction {
-	tx := &chain.Transaction{
+	tx := g.slab.New(chain.Transaction{
 		ClientID: clientID,
 		ServerID: serverID,
 		Contract: ContractName,
 		Nonce:    g.nextNonce(),
-	}
+	})
 	switch g.p.Workload {
 	case IOHeavy:
-		i := g.rng.Intn(g.p.Records)
+		key := Key(g.rng.Intn(g.p.Records))
 		if g.rng.Float64() < g.p.WriteFrac {
 			tx.Op = OpWrite
-			tx.Args = []string{Key(i), g.valueFor(tx.Nonce)}
+			tx.Args = g.slab.Args(key, g.valueFor(tx.Nonce))
 		} else {
 			tx.Op = OpRead
-			tx.Args = []string{Key(i)}
+			tx.Args = g.slab.Args(key)
 		}
-		tx.From = owner(i)
+		tx.From = owner(key)
 	case Analytics:
 		start := g.rng.Intn(g.p.Records - g.p.ScanLen + 1)
 		tx.Op = OpScan
-		tx.Args = []string{
+		tx.Args = g.slab.Args(
 			strconv.Itoa(start),
 			strconv.Itoa(g.p.ScanLen),
 			fmt.Sprintf("agg:%016x", tx.Nonce),
-		}
-		tx.From = owner(start)
+		)
+		tx.From = owner(Key(start))
 	case DoNothing:
 		tx.Op = OpNothing
-		tx.From = owner(int(tx.Nonce) % g.p.Records)
+		tx.From = owner(Key(int(tx.Nonce) % g.p.Records))
 	}
 	return tx
 }

@@ -1,6 +1,7 @@
 package blockbench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -140,5 +141,13 @@ func TestNewGeneratorRejectsBadProfiles(t *testing.T) {
 	}
 	if _, err := NewGenerator(Profile{Workload: IOHeavy, Records: 10, WriteFrac: 1.5}); err == nil {
 		t.Fatal("bad write fraction accepted")
+	}
+}
+
+func TestKeyMatchesFormat(t *testing.T) {
+	for _, i := range []int{0, 9, 99_999_999, 100_000_000, -5} {
+		if got, want := Key(i), fmt.Sprintf("io:%08d", i); got != want {
+			t.Errorf("Key(%d) = %q, want %q", i, got, want)
+		}
 	}
 }

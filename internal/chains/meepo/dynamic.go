@@ -86,8 +86,9 @@ func (c *Chain) resize(target int) {
 	for len(c.shards) < target {
 		sh := c.AddShard()
 		c.shards = append(c.shards, &shardState{
-			state: chain.NewStateFrom(c.cfg.State),
-			exec:  newShardExec(c),
+			state:  chain.NewStateFrom(c.cfg.State),
+			exec:   newShardExec(c),
+			leader: member(sh, 0),
 		})
 		for j := 0; j < c.cfg.MembersPerShard; j++ {
 			c.RegisterNodes(member(sh, j))

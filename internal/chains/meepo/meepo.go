@@ -106,6 +106,9 @@ type shardState struct {
 	inflight int
 	exec     *basechain.Compute
 	version  uint64
+	// leader is member 0's node name, which proposes the shard's epochs and
+	// relays its cross-shard credits; named once per shard.
+	leader string
 }
 
 // Chain is the simulated Meepo deployment.
@@ -194,7 +197,8 @@ func New(sched eventsim.Sched, cfg Config) *Chain {
 			// Epochs within a shard execute serially; the per-epoch cost
 			// already folds in intra-epoch core parallelism. Each chain
 			// shard's compute timers ride its own scheduler shard.
-			exec: basechain.NewComputeKey(sched, 1, uint64(i)),
+			exec:   basechain.NewComputeKey(sched, 1, uint64(i)),
+			leader: member(i, 0),
 		})
 		for j := 0; j < cfg.MembersPerShard; j++ {
 			c.RegisterNodes(member(i, j))
@@ -380,7 +384,7 @@ func (c *Chain) commitEpoch(sh int, batch []*chain.Transaction, inbox []crossWri
 	ss := c.shards[sh]
 	ss.inflight -= len(batch)
 	ss.version++
-	blk := &chain.Block{Proposer: member(sh, 0)}
+	blk := &chain.Block{Proposer: ss.leader}
 
 	// The epoch's receipts share one slab with room for every receipt it
 	// can issue, so appends never move the receipts the block points at.
@@ -512,7 +516,7 @@ func (c *Chain) crossShardTransfer(sh int, tx *chain.Transaction, from, to strin
 	// inbox and applies in that shard's next epoch (the cross-epoch). The
 	// destination is re-resolved at delivery: a dynamic reshard may have
 	// re-homed the account while the message was in flight.
-	c.net.Send(member(sh, 0), member(dest, 0), c.cfg.TxBytes, func() {
+	c.net.Send(ss.leader, c.shards[dest].leader, c.cfg.TxBytes, func() {
 		if c.Stopped() {
 			return
 		}

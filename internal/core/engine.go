@@ -37,7 +37,7 @@ type Engine struct {
 	signer  *sign.Signer
 	matcher taskproc.Matcher
 
-	clients []*basechain.Compute
+	clients []clientQueue
 	driver  *basechain.Compute
 
 	lastHeights []uint64
@@ -107,8 +107,11 @@ func New(sched eventsim.Sched, bc chain.Blockchain, cfg Config) (*Engine, error)
 	if lanes > cfg.ClientCores {
 		lanes = cfg.ClientCores
 	}
-	for i := 0; i < cfg.Clients; i++ {
-		e.clients = append(e.clients, basechain.NewComputeKey(sched, lanes, clientShardKey(i)))
+	e.clients = make([]clientQueue, cfg.Clients)
+	for i := range e.clients {
+		q := &e.clients[i]
+		q.compute = basechain.NewComputeKey(sched, lanes, clientShardKey(i))
+		q.fire = func() { e.submit(q) }
 	}
 	// Context-switch penalty beyond the core count (Fig 10).
 	over := 0
@@ -440,51 +443,85 @@ func (e *Engine) scheduleInjections(txs []*chain.Transaction, startAt time.Durat
 	e.injectionEnd = startAt + cs.Duration()
 }
 
+// clientQueue is one client machine: its CPU and the FIFO of dispatched
+// transactions whose send cost is still being charged. Sends all cost
+// perOpCost, so they complete in dispatch order and one callback bound at
+// New pops the head (DESIGN §14, client FIFO invariant).
+type clientQueue struct {
+	compute *basechain.Compute
+	fifo    []pendingSend
+	head    int
+	fire    func()
+}
+
+type pendingSend struct {
+	tx         *chain.Transaction
+	start, due time.Duration
+}
+
 // dispatch models one client thread sending a transaction: the record is
 // stamped at dispatch (Algorithm 1 line 4), the client CPU is charged, and
 // the SUT admits or rejects on completion.
 func (e *Engine) dispatch(tx *chain.Transaction, clientIdx int) {
+	e.submitted++
+	e.mon.submitted.Inc()
+	q := &e.clients[clientIdx]
+	// Reuse the popped prefix rather than let append grow the array.
+	if len(q.fifo) == cap(q.fifo) && q.head > 0 {
+		q.fifo = q.fifo[:copy(q.fifo, q.fifo[q.head:])]
+		q.head = 0
+	}
+	q.fifo = append(q.fifo, pendingSend{tx, e.sched.Now(), q.compute.Run(e.perOpCost, q.fire)})
+}
+
+// submit completes the oldest send on q: the SUT admits or rejects it.
+func (e *Engine) submit(q *clientQueue) {
+	p := q.fifo[q.head]
+	if q.head++; q.head == len(q.fifo) {
+		q.fifo, q.head = q.fifo[:0], 0
+	}
+	now := e.sched.Now()
+	if p.due != now {
+		panic(fmt.Sprintf("core: client send completed at %v but the FIFO head is due at %v: sends no longer complete in dispatch order", now, p.due))
+	}
+	tx := p.tx
 	rec := taskproc.TxRecord{
 		ID:        tx.ID,
 		ClientID:  tx.ClientID,
 		ServerID:  tx.ServerID,
 		Chain:     e.bc.Name(),
 		Contract:  tx.Contract,
-		StartTime: e.sched.Now(),
+		StartTime: p.start,
 		Status:    chain.StatusPending,
 	}
-	e.submitted++
-	e.mon.submitted.Inc()
-	e.clients[clientIdx].Run(e.perOpCost, func() {
-		tx.SubmittedAt = e.sched.Now()
-		if _, err := e.bc.Submit(tx); err != nil {
-			if e.retrySupport != nil {
-				// With retries enabled a refused submission stays tracked
-				// and re-enters through the backoff queue instead of being
-				// dropped on the floor.
-				e.matcher.Track(rec)
-				e.retryQueue = append(e.retryQueue, retryEntry{
-					tx: tx, attempts: 1, waiting: true,
-					due: e.sched.Now() + e.cfg.RetryBackoff,
-				})
-				return
-			}
-			e.rejected++
-			e.mon.rejected.Inc()
-			if e.cfg.TrackRejected {
-				// Fire-and-forget drivers never learn the submission was
-				// shed; the record lingers in their matching queue.
-				e.matcher.Track(rec)
-			}
+	tx.SubmittedAt = now
+	if _, err := e.bc.Submit(tx); err != nil {
+		if e.retrySupport != nil {
+			// With retries enabled a refused submission stays tracked
+			// and re-enters through the backoff queue instead of being
+			// dropped on the floor.
+			e.matcher.Track(rec)
+			e.retryQueue = append(e.retryQueue, retryEntry{
+				tx: tx, attempts: 1, waiting: true,
+				due: now + e.cfg.RetryBackoff,
+			})
 			return
 		}
-		e.matcher.Track(rec)
-		if e.retrySupport != nil {
-			e.retryQueue = append(e.retryQueue, retryEntry{
-				tx: tx, due: e.sched.Now() + e.cfg.TxTimeout,
-			})
+		e.rejected++
+		e.mon.rejected.Inc()
+		if e.cfg.TrackRejected {
+			// Fire-and-forget drivers never learn the submission was
+			// shed; the record lingers in their matching queue.
+			e.matcher.Track(rec)
 		}
-	})
+		return
+	}
+	e.matcher.Track(rec)
+	if e.retrySupport != nil {
+		e.retryQueue = append(e.retryQueue, retryEntry{
+			tx: tx, due: now + e.cfg.TxTimeout,
+		})
+	}
 }
 
 // retryEntry is the retry path's view of one in-flight transaction. An entry

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"hammer/internal/chain"
@@ -82,6 +83,7 @@ type crossShardSource struct {
 	shards    int
 	crossRate float64
 	nonce     uint64
+	slab      chain.TxSlab
 }
 
 func newCrossShardSource(seed int64, accounts, shards int, crossRate float64) *crossShardSource {
@@ -109,13 +111,13 @@ func (s *crossShardSource) nextNonce() uint64 {
 func (s *crossShardSource) SetupTxs() []*chain.Transaction {
 	txs := make([]*chain.Transaction, len(s.accounts))
 	for i, name := range s.accounts {
-		txs[i] = &chain.Transaction{
+		txs[i] = s.slab.New(chain.Transaction{
 			Contract: smallbank.ContractName,
 			Op:       smallbank.OpCreate,
-			Args:     []string{name, "1000", "1000"},
+			Args:     s.slab.Args(name, "1000", "1000"),
 			From:     name,
 			Nonce:    s.nextNonce(),
-		}
+		})
 	}
 	return txs
 }
@@ -142,15 +144,15 @@ func (s *crossShardSource) Next(clientID, serverID string) *chain.Transaction {
 		}
 	}
 	amount := 1 + s.rng.Intn(10)
-	return &chain.Transaction{
+	return s.slab.New(chain.Transaction{
 		ClientID: clientID,
 		ServerID: serverID,
 		Contract: smallbank.ContractName,
 		Op:       smallbank.OpTransfer,
-		Args:     []string{from, to, fmt.Sprint(amount)},
+		Args:     s.slab.Args(from, to, strconv.Itoa(amount)),
 		From:     from,
 		Nonce:    s.nextNonce(),
-	}
+	})
 }
 
 // familySetup binds one family×size point to its load and fault scenarios.

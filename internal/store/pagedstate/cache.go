@@ -9,8 +9,10 @@ import (
 // warm; eviction recycles the buffer for the incoming page, so steady-state
 // operation allocates nothing.
 type frame struct {
-	id     uint32
-	dirty  bool
+	id    uint32
+	dirty bool
+	lsn   int64 // WAL end offset after the frame's last change
+
 	ref    bool // clock reference bit
 	pinned bool // in use by the current operation; never evicted
 	buf    []byte
@@ -27,10 +29,10 @@ type pageCache struct {
 	byID      map[uint32]*frame
 	hand      int
 	freeBufs  [][]byte // recycled buffers from dropped frames
-	// beforeWriteBack, when set, runs before a dirty frame's bytes reach
-	// the page file. The store points it at wal.flush so no page image can
+	// wal, once the store sets it, is flushed before a dirty frame whose
+	// lsn it has not yet made durable is written back, so no page image can
 	// land on disk ahead of the log records that produced it.
-	beforeWriteBack func() error
+	wal *wal
 
 	hits      int64
 	misses    int64
@@ -137,8 +139,8 @@ func (c *pageCache) writeBack(fr *frame) error {
 	if !fr.dirty {
 		return nil
 	}
-	if c.beforeWriteBack != nil {
-		if err := c.beforeWriteBack(); err != nil {
+	if c.wal != nil && fr.lsn > c.wal.written {
+		if err := c.wal.flush(); err != nil {
 			return err
 		}
 	}

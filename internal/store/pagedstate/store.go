@@ -8,9 +8,10 @@
 // cache with a configurable byte budget keeps the hot working set resident
 // and recycles evicted frames' buffers, so steady-state operation allocates
 // almost nothing. Every mutation is logged to a group-commit write-ahead
-// log before it touches a page, and evicting a dirty page flushes the
-// pending log batch first, so no page image ever reaches disk ahead of the
-// records that produced it; replay at open is idempotent, so any crash-time
+// log before it touches a page, and writing a dirty page back flushes the
+// pending log batch first when the page's LSN (the log end after its last
+// change) is not yet durable, so no page image ever reaches disk ahead of
+// the records that produced it; replay at open is idempotent, so any crash-time
 // mix of flushed and unflushed pages converges to the logged state, and the
 // key count and Bloom filters are rebuilt from the surviving pages after
 // replay. Once the log outgrows CheckpointWALBytes the store checkpoints
@@ -198,8 +199,8 @@ func Open(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	// No page image may reach disk ahead of the log records that produced
-	// it: eviction write-backs flush the pending WAL batch first.
-	s.cache.beforeWriteBack = s.wal.flush
+	// it: a write-back first flushes the WAL through the page's last record.
+	s.cache.wal = s.wal
 	walInfo, err := s.wal.f.Stat()
 	if err != nil {
 		s.closeFiles()
@@ -341,12 +342,12 @@ func (s *Store) set(key string, val []byte, version uint64) {
 		p := page{buf: fr.buf}
 		if i := p.find(key); i >= 0 {
 			if p.update(i, key, val, version, s.scratch) {
-				fr.dirty = true
+				s.markDirty(fr)
 				return
 			}
 			// The longer value no longer fits here: delete and reinsert.
 			p.remove(i)
-			fr.dirty = true
+			s.markDirty(fr)
 			s.count--
 			break
 		}
@@ -373,7 +374,7 @@ func (s *Store) insertNew(bucket uint32, fitID uint32, key string, val []byte, v
 			s.compactions++
 		}
 		p.insert(key, val, version, s.scratch)
-		fr.dirty = true
+		s.markDirty(fr)
 		return
 	}
 	newID := s.nextPage
@@ -385,8 +386,15 @@ func (s *Store) insertNew(bucket uint32, fitID uint32, key string, val []byte, v
 	p := page{buf: fr.buf}
 	p.setNext(s.dir[bucket])
 	p.insert(key, val, version, s.scratch)
-	fr.dirty = true
+	s.markDirty(fr)
 	s.dir[bucket] = newID
+}
+
+// markDirty stamps fr with the WAL end offset (its LSN): the page image may
+// reach disk only once the log is durable up to there.
+func (s *Store) markDirty(fr *frame) {
+	fr.dirty = true
+	fr.lsn = s.wal.written + int64(len(s.wal.buf))
 }
 
 // Delete implements chain.StateBackend.
@@ -429,7 +437,7 @@ func (s *Store) delete(key string) {
 		p := page{buf: fr.buf}
 		if i := p.find(key); i >= 0 {
 			p.remove(i)
-			fr.dirty = true
+			s.markDirty(fr)
 			s.count--
 			return
 		}

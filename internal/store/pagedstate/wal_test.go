@@ -170,6 +170,81 @@ func TestEvictionFlushesWALFirst(t *testing.T) {
 	}
 }
 
+// TestEvictionFlushesWALOnlyWhenPageNeedsIt checks the page-LSN rule:
+// evicting a dirty page whose records Sync already made durable costs no
+// WAL flush even while another page's record waits in the group-commit
+// buffer, and evicting that other page flushes the buffer first.
+func TestEvictionFlushesWALOnlyWhenPageNeedsIt(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.WALFlushBytes = 1 << 30 // group commit never fires on its own
+	s := mustOpen(t, cfg)
+	defer s.Close()
+	const n = 4000
+	key := func(i int) string { return fmt.Sprintf("key%05d", i) }
+	for i := 0; i < n; i++ {
+		s.Set(key(i), []byte(fmt.Sprintf("val%d", i)), uint64(i))
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	s.Set(key(0), []byte("changed"), n)
+	pending := s.wal.written + int64(len(s.wal.buf))
+	// The page holding key(0) is the only one whose record is not durable;
+	// pin it so the first round of evictions skips it.
+	var hot *frame
+	for _, fr := range s.cache.frames {
+		if fr.dirty && fr.lsn > s.wal.written {
+			if hot != nil {
+				t.Fatal("more than one page waits for the pending record")
+			}
+			hot = fr
+		}
+	}
+	if hot == nil {
+		t.Fatal("no resident page waits for the pending record")
+	}
+	// evictAllDirty reads every key until no resident page but a pinned
+	// one is dirty: each page dirty on entry has been written back.
+	evictAllDirty := func() {
+		t.Helper()
+		for pass := 0; pass < 10; pass++ {
+			dirty := 0
+			for _, fr := range s.cache.frames {
+				if fr.dirty && !fr.pinned {
+					dirty++
+				}
+			}
+			if dirty == 0 {
+				return
+			}
+			for i := 0; i < n; i++ {
+				s.Get(key(i))
+			}
+		}
+		t.Fatal("reads never evicted every dirty page")
+	}
+
+	hot.pinned = true
+	before := s.Stats()
+	evictAllDirty()
+	after := s.Stats()
+	if after.Evictions == before.Evictions {
+		t.Fatal("reads evicted nothing")
+	}
+	if after.WALFlushes != before.WALFlushes {
+		t.Fatalf("evicting pages whose records were synced flushed the WAL %d times", after.WALFlushes-before.WALFlushes)
+	}
+
+	hot.pinned = false
+	evictAllDirty()
+	if got := s.Stats().WALFlushes - after.WALFlushes; got != 1 {
+		t.Fatalf("evicting the page with a pending record flushed the WAL %d times, want 1", got)
+	}
+	if s.wal.written != pending {
+		t.Fatalf("durable WAL ends at %d, want %d (through the pending record)", s.wal.written, pending)
+	}
+}
+
 // TestWALTornTail truncates the log mid-record at every boundary around the
 // last few records: replay must recover exactly the whole-record prefix and
 // never error, mirroring a crash that tore the final write.

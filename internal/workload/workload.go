@@ -60,6 +60,7 @@ type Generator struct {
 	ops     []string
 	cum     []float64
 	nonce   uint64
+	slab    chain.TxSlab
 }
 
 // NewGenerator validates the profile and builds a generator.
@@ -112,19 +113,16 @@ func (g *Generator) Profile() Profile { return g.profile }
 // SetupTxs creates the account population. These run before measurement.
 func (g *Generator) SetupTxs() []*chain.Transaction {
 	txs := make([]*chain.Transaction, g.profile.Accounts)
+	balance := strconv.FormatInt(g.profile.InitialBalance, 10)
 	for i := range txs {
 		name := smallbank.AccountName(i)
-		txs[i] = &chain.Transaction{
+		txs[i] = g.slab.New(chain.Transaction{
 			Contract: g.profile.Contract,
 			Op:       smallbank.OpCreate,
-			Args: []string{
-				name,
-				strconv.FormatInt(g.profile.InitialBalance, 10),
-				strconv.FormatInt(g.profile.InitialBalance, 10),
-			},
-			From:  name,
-			Nonce: g.nextNonce(),
-		}
+			Args:     g.slab.Args(name, balance, balance),
+			From:     name,
+			Nonce:    g.nextNonce(),
+		})
 	}
 	return txs
 }
@@ -162,26 +160,26 @@ func (g *Generator) Next(clientID, serverID string) *chain.Transaction {
 			break
 		}
 	}
-	tx := &chain.Transaction{
+	tx := g.slab.New(chain.Transaction{
 		ClientID: clientID,
 		ServerID: serverID,
 		Contract: g.profile.Contract,
 		Op:       op,
 		Nonce:    g.nextNonce(),
-	}
+	})
 	amount := 1 + g.rng.Int63n(g.profile.MaxAmount)
 	switch op {
 	case smallbank.OpDeposit, smallbank.OpWithdraw:
 		a := smallbank.AccountName(g.pickAccount())
-		tx.Args = []string{a, strconv.FormatInt(amount, 10)}
+		tx.Args = g.slab.Args(a, strconv.FormatInt(amount, 10))
 		tx.From = a
 	case smallbank.OpTransfer:
 		a, b := g.pickTwoAccounts()
-		tx.Args = []string{smallbank.AccountName(a), smallbank.AccountName(b), strconv.FormatInt(amount, 10)}
+		tx.Args = g.slab.Args(smallbank.AccountName(a), smallbank.AccountName(b), strconv.FormatInt(amount, 10))
 		tx.From = tx.Args[0]
 	case smallbank.OpAmalgamate:
 		a, b := g.pickTwoAccounts()
-		tx.Args = []string{smallbank.AccountName(a), smallbank.AccountName(b)}
+		tx.Args = g.slab.Args(smallbank.AccountName(a), smallbank.AccountName(b))
 		tx.From = tx.Args[0]
 	}
 	return tx
